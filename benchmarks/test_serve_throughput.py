@@ -3,9 +3,9 @@
 Drives the :mod:`repro.serve` engine with concurrent clients posting
 synthetic LR frames through SESR-M5 ×2 (collapsed at registration, as in
 deployment) and reports requests/sec plus p50/p95 latency straight from the
-engine's own telemetry.  Grid: thread workers (1 and multiple, exact and
-micro-batched) against the process data plane (spawned workers + shared
-memory tile arenas, :mod:`repro.dataplane`) at 1, 2, and multiple workers.
+engine's own telemetry.  Grid: thread workers (1 and multiple) against the
+process data plane (spawned workers + shared memory tile arenas,
+:mod:`repro.dataplane`) at 1, 2, and multiple workers.
 Each request is a distinct frame and the output cache is disabled, so the
 numbers measure inference, not memoization; tiles per frame exceed the
 worker count, so a single request already exercises the whole pool.
@@ -78,38 +78,34 @@ def run_load(engine: InferenceEngine) -> dict:
 def test_serve_throughput():
     registry = ModelRegistry()
     key = ModelKey(name="M5", scale=2)
-    # (label, backend, workers, microbatch)
+    # (label, backend, workers)
     grid = [
-        ("exact", "thread", 1, False),
-        ("exact", "thread", MULTI_WORKERS, False),
-        ("microbatch", "thread", 1, True),
-        ("microbatch", "thread", MULTI_WORKERS, True),
-        ("exact", "process", 1, False),
-        ("exact", "process", 2, False),
-        ("exact", "process", MULTI_WORKERS, False),
+        ("exact", "thread", 1),
+        ("exact", "thread", MULTI_WORKERS),
+        ("exact", "process", 1),
+        ("exact", "process", 2),
+        ("exact", "process", MULTI_WORKERS),
     ]
     results = {}
     reference = None
     check_frame = np.random.default_rng(1).random(FRAME).astype(np.float32)
-    for mode, backend, workers, microbatch in grid:
+    for mode, backend, workers in grid:
         config = EngineConfig(
-            workers=workers, tile=TILE, microbatch=microbatch,
-            cache_size=0, max_pending=64, worker_backend=backend,
+            workers=workers, tile=TILE, cache_size=0, max_pending=64,
+            worker_backend=backend,
         )
         with InferenceEngine(registry, key, config=config) as engine:
             results[(mode, backend, workers)] = run_load(engine)
-            if not microbatch:
-                # The data plane must never trade pixels for speed: every
-                # exact configuration, thread or process, produces the
-                # same bytes.
-                out = engine.upscale(check_frame)
-                if reference is None:
-                    reference = out
-                else:
-                    assert np.array_equal(reference, out), (
-                        f"{backend} x{workers} diverged from the exact "
-                        "single-thread output"
-                    )
+            # The data plane must never trade pixels for speed: every
+            # configuration, thread or process, produces the same bytes.
+            out = engine.upscale(check_frame)
+            if reference is None:
+                reference = out
+            else:
+                assert np.array_equal(reference, out), (
+                    f"{backend} x{workers} diverged from the exact "
+                    "single-thread output"
+                )
 
     base = results[("exact", "thread", 1)]["rps"]
     rows = [

@@ -20,8 +20,8 @@ dispatcher threads proxy compute to:
 * :mod:`~repro.dataplane.worker` — the child-process main loop: rebuild
   the :class:`~repro.compile.CompiledModel` from the pickled
   plan/weights handoff, then serve envelopes with the *same*
-  ``predict_batch``/``predict_batch_exact`` the thread backend calls —
-  thread and process outputs are bit-identical by construction.
+  ``predict_batch_exact`` the thread backend calls — thread and process
+  outputs are bit-identical by construction.
 * :mod:`~repro.dataplane.pool` — :class:`ProcessWorkerPool`, the
   supervised pool behind ``EngineConfig(worker_backend="process")``:
   mid-job deaths become retryable :class:`ProcessWorkerDied` (the
@@ -50,7 +50,7 @@ from .arena import (
     slot_layout,
 )
 from .aserver import AsyncSRServer, make_async_server
-from .envelope import MODE_EXACT, MODE_STACK, JobEnvelope, ReplyEnvelope, TraceContext
+from .envelope import JobEnvelope, ReplyEnvelope, TraceContext
 from .pool import PoolClosed, ProcessWorkerDied, ProcessWorkerPool, RemoteComputeError
 from .worker import worker_main
 
@@ -59,8 +59,6 @@ __all__ = [
     "ArenaSlot",
     "AsyncSRServer",
     "JobEnvelope",
-    "MODE_EXACT",
-    "MODE_STACK",
     "PoolClosed",
     "ProcessWorkerDied",
     "ProcessWorkerPool",

@@ -23,17 +23,7 @@ from typing import List, Optional, Tuple
 
 from ..obs.trace import Span, SpanContext
 
-__all__ = [
-    "MODE_EXACT",
-    "MODE_STACK",
-    "JobEnvelope",
-    "ReplyEnvelope",
-    "TraceContext",
-]
-
-#: compute modes a job may request (mirrors the engine's tile paths).
-MODE_EXACT = "exact"    # bit-identical per sample (predict_batch_exact)
-MODE_STACK = "stack"    # legacy stacked micro-batch (predict_batch)
+__all__ = ["JobEnvelope", "ReplyEnvelope", "TraceContext"]
 
 
 @dataclass(frozen=True)
@@ -64,9 +54,8 @@ class JobEnvelope:
     ``kind`` is ``"run"`` (compute the slot), ``"ping"`` (liveness probe,
     no slot), or ``"shutdown"`` (drain and exit).  ``shape`` is the
     ``(N, h, w)`` stack of halo-padded LR tiles sitting in the slot's
-    input region; ``mode`` selects the exact or legacy-stacked batch
-    semantics.  ``trace`` parents the worker's spans under the engine's
-    dispatching span.
+    input region, computed bit-identically per sample.  ``trace`` parents
+    the worker's spans under the engine's dispatching span.
     """
 
     kind: str = "run"
@@ -74,7 +63,6 @@ class JobEnvelope:
     slot: int = -1
     generation: int = -1
     shape: Tuple[int, int, int] = (0, 0, 0)
-    mode: str = MODE_EXACT
     trace: Optional[TraceContext] = None
 
 

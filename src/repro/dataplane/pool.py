@@ -214,15 +214,15 @@ class ProcessWorkerPool:
     def submit(
         self,
         patches: np.ndarray,
-        mode: str = "exact",
         ctx: Optional[_trace.SpanContext] = None,
     ) -> np.ndarray:
         """Run an ``(N, h, w, 1)`` float32 tile stack on a worker process.
 
-        Returns the ``(N, s·h, s·w)`` result (a fresh array — the arena
-        slot is recycled before this returns).  Worker spans finished
-        during the job are ingested into this process's tracer under
-        ``ctx``.  Raises :class:`ProcessWorkerDied` when the worker dies
+        The stack is computed bit-identically per sample
+        (:func:`repro.serve.predict_batch_exact`).  Returns the
+        ``(N, s·h, s·w)`` result (a fresh array — the arena slot is
+        recycled before this returns).  Worker spans finished during the
+        job are ingested into this process's tracer under ``ctx``.  Raises :class:`ProcessWorkerDied` when the worker dies
         mid-job (retryable) and re-raises compute errors as
         :class:`RemoteComputeError`.
         """
@@ -245,7 +245,7 @@ class ProcessWorkerPool:
                 self._submitted += 1
             job = JobEnvelope(
                 kind="run", seq=seq, slot=slot.index,
-                generation=slot.generation, shape=(n, h, w), mode=mode,
+                generation=slot.generation, shape=(n, h, w),
                 trace=TraceContext.from_span_context(ctx),
             )
             try:

@@ -10,10 +10,10 @@ startup (plan and steps re-prepared, per-shape arenas grown lazily, all
 planner-sized) and then serves :class:`~repro.dataplane.JobEnvelope`\\ s
 until told to shut down.
 
-Compute goes through the *same* functions the thread backend calls —
-:func:`repro.serve.predict_batch_exact` / ``predict_batch`` — so process
-and thread workers are bit-identical by construction, not by testing
-luck (the tests pin it anyway).
+Compute goes through the *same* function the thread backend calls —
+:func:`repro.serve.predict_batch_exact` — so process and thread workers
+are bit-identical by construction, not by testing luck (the tests pin it
+anyway).
 
 Observability: the worker installs a fresh process-local
 :class:`~repro.obs.Tracer` whose only job is collecting the spans each
@@ -40,7 +40,7 @@ import numpy as np
 
 from ..obs import trace as _trace
 from .arena import attach_arena
-from .envelope import MODE_STACK, JobEnvelope, ReplyEnvelope
+from .envelope import JobEnvelope, ReplyEnvelope
 
 __all__ = ["worker_main"]
 
@@ -66,9 +66,10 @@ def worker_main(conn, model_bytes: bytes, arena_name: str,
     _trace.set_tracer(_trace.Tracer(exporters=[collector]))
     model = pickle.loads(model_bytes)
     arena = attach_arena(arena_name, in_bytes, out_bytes, slots)
-    # predict_* live in repro.serve.engine; imported here (not at module
-    # top) so a worker only pays for the serving imports it really uses.
-    from ..serve.engine import predict_batch, predict_batch_exact
+    # predict_batch_exact lives in repro.serve.engine; imported here (not
+    # at module top) so a worker only pays for the serving imports it
+    # really uses.
+    from ..serve.engine import predict_batch_exact
 
     scale = getattr(model, "scale", 1)
     try:
@@ -84,8 +85,7 @@ def worker_main(conn, model_bytes: bytes, arena_name: str,
                 conn.send(ReplyEnvelope(seq=job.seq, ok=True, pid=os.getpid()))
                 continue
             conn.send(_run_job(
-                job, model, arena, scale, collector,
-                predict_batch, predict_batch_exact,
+                job, model, arena, scale, collector, predict_batch_exact,
             ))
     finally:
         arena.close()
@@ -96,7 +96,7 @@ def worker_main(conn, model_bytes: bytes, arena_name: str,
 
 
 def _run_job(job, model, arena, scale, collector,
-             predict_batch, predict_batch_exact) -> ReplyEnvelope:
+             predict_batch_exact) -> ReplyEnvelope:
     """Compute one envelope; never raises (errors travel in the reply)."""
     from .arena import ArenaSlot, StaleSlot
 
@@ -109,12 +109,9 @@ def _run_job(job, model, arena, scale, collector,
         with _trace.attach(ctx):
             with _trace.span(
                 "dataplane.compute", pid=os.getpid(), tiles=n,
-                h=h, w=w, mode=job.mode,
+                h=h, w=w,
             ):
-                if job.mode == MODE_STACK:
-                    outs = predict_batch(model, patches)
-                else:
-                    outs = predict_batch_exact(model, patches)
+                outs = predict_batch_exact(model, patches)
         out_shape = (n, h * scale, w * scale)
         # Re-verify before publishing: if the engine recycled the slot
         # while we computed (it only does that once it believes this

@@ -86,13 +86,11 @@ def conv2d(
 
     Notes
     -----
-    The forward is im2col + one ``np.matmul`` (BLAS sgemm).  This is the
-    *training-time* path; the inference executor
-    (:mod:`repro.compile.executor`) runs the same contraction through a
-    selectable kernel — ``blas``, the deterministic m-invariant
-    ``blocked`` kernel, or tap-loop ``direct`` (:mod:`repro.kernels`) —
-    because BLAS output bits depend on the GEMM row count, which matters
-    once the serving engine stacks samples (``docs/kernels.md``).
+    The forward is im2col + one ``np.matmul`` (BLAS sgemm).  The inference
+    executor (:mod:`repro.compile.executor`) replays the same contraction
+    into planned buffers; because BLAS output bits depend on the GEMM row
+    count, its exact-batch mode issues one sgemm per sample once the
+    serving engine stacks tiles.
     """
     x, w = as_tensor(x), as_tensor(w)
     if groups > 1:

@@ -23,7 +23,6 @@ from .engine import (
     RequestTimeout,
     UpscaleResult,
     plan_tiles,
-    predict_batch,
     predict_batch_exact,
 )
 from .scheduler import BatchScheduler, TileJob
@@ -51,7 +50,6 @@ __all__ = [
     "RequestTimeout",
     "UpscaleResult",
     "plan_tiles",
-    "predict_batch",
     "predict_batch_exact",
     "SRRequestHandler",
     "SRServer",

@@ -1,7 +1,7 @@
 """``EngineConfig`` — the one value object that configures serving.
 
 Four PRs of engine growth left :class:`~repro.serve.InferenceEngine` with
-a dozen-plus constructor kwargs (workers, tiling, micro-batching, cache,
+a dozen-plus constructor kwargs (workers, tiling, cache,
 admission, timeouts, retries, breaker, degraded mode, supervision,
 compilation, and now cross-request batching).  ``EngineConfig`` is the
 redesigned public API: a frozen, validated dataclass that callers build
@@ -32,9 +32,6 @@ __all__ = ["EngineConfig"]
 #: worker execution backends an engine can run tiles on.
 WORKER_BACKENDS = ("thread", "process")
 
-#: GEMM backends the compiled executor can run conv steps on.
-GEMM_BACKENDS = ("auto", "blas", "blocked")
-
 
 def _default_backend() -> str:
     """Library default is ``thread``; ``REPRO_WORKER_BACKEND`` overrides.
@@ -44,16 +41,6 @@ def _default_backend() -> str:
     An unknown value fails at construction like any other bad config.
     """
     return os.environ.get("REPRO_WORKER_BACKEND", "thread")
-
-
-def _default_gemm_backend() -> str:
-    """Library default is ``blas``; ``REPRO_GEMM_BACKEND`` overrides.
-
-    The env var exists for the same replay reason as
-    ``REPRO_WORKER_BACKEND``: CI runs the batching bench under both
-    ``blas`` and ``blocked`` without modifying the suite.
-    """
-    return os.environ.get("REPRO_GEMM_BACKEND", "blas")
 
 
 @dataclass(frozen=True)
@@ -70,18 +57,16 @@ class EngineConfig:
     halo:
         Context pixels per tile; ``None`` = the model's receptive radius
         (which makes tiling exact).
-    microbatch, max_batch:
-        Legacy *within-request* same-shape tile stacking (approximate,
-        ~1 ulp), and the largest stack fed to one forward pass.
-        ``max_batch`` also caps cross-request batches.
+    max_batch:
+        The largest cross-request batch: at most this many same-shape
+        tiles are coalesced into one forward pass.
     batch_window_ms:
         Cross-request dynamic batching: how long a queued tile job may
         wait for same-shape company before it is dispatched anyway.
         ``0`` (the library default) disables coalescing — every job
-        dispatches immediately, exactly the pre-batching engine.  Unlike
-        ``microbatch``, coalesced batches are *bit-identical* to
-        unbatched serving (exact per-sample GEMM; see
-        ``repro.compile.CompiledModel.run``).
+        dispatches immediately, exactly the pre-batching engine.
+        Coalesced batches are *bit-identical* to unbatched serving
+        (exact per-sample GEMM; see ``repro.compile.CompiledModel.run``).
     cache_size:
         LRU entries for finished outputs (0 disables).
     max_pending:
@@ -113,27 +98,11 @@ class EngineConfig:
         unmodified suite can run against either backend.  Process
         workers rebuild the model from a pickled plan/weights handoff,
         so the model (compiled or eager) must pickle — the zoo's do.
-    gemm_backend:
-        Which GEMM kernel the compiled executor runs conv steps on (see
-        :mod:`repro.kernels` and ``docs/kernels.md``).  ``"blas"`` (the
-        default) is the vendor sgemm — fastest arithmetic, but a
-        coalesced cross-request batch must issue the GEMM once *per
-        sample* to stay bit-exact.  ``"blocked"`` is the
-        fixed-reduction-order blocked matmul: m-invariant, so a
-        coalesced batch is ONE stacked GEMM per conv and still
-        bit-identical to single-sample serving.  ``"auto"`` picks the
-        measured winner per conv shape from the ``repro tune`` cache
-        (missing shapes degrade to ``blas``).  The default honours
-        ``REPRO_GEMM_BACKEND``.  Engines sharing one registry-cached
-        compiled model apply the backend at construction — concurrent
-        engines over the same key should agree on it.  Ignored on the
-        eager (non-compiled) fallback path.
     """
 
     workers: int = 4
     tile: Union[int, Tuple[int, int]] = 96
     halo: Optional[int] = None
-    microbatch: bool = False
     max_batch: int = 8
     batch_window_ms: float = 0.0
     cache_size: int = 128
@@ -148,7 +117,6 @@ class EngineConfig:
     wedge_timeout: Optional[float] = None
     compiled: bool = True
     worker_backend: str = field(default_factory=_default_backend)
-    gemm_backend: str = field(default_factory=_default_gemm_backend)
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -190,11 +158,6 @@ class EngineConfig:
                 f"worker_backend must be one of {WORKER_BACKENDS}, "
                 f"got {self.worker_backend!r}"
             )
-        if self.gemm_backend not in GEMM_BACKENDS:
-            raise ValueError(
-                f"gemm_backend must be one of {GEMM_BACKENDS}, "
-                f"got {self.gemm_backend!r}"
-            )
 
     # ------------------------------------------------------------------ #
     def replace(self, **changes) -> "EngineConfig":
@@ -222,10 +185,8 @@ class EngineConfig:
             f"  workers {self.workers} ({self.worker_backend}), "
             f"tile {th}x{tw}, halo "
             f"{'auto' if self.halo is None else self.halo}, "
-            f"compiled {'on' if self.compiled else 'off'}, "
-            f"gemm {self.gemm_backend}",
-            f"  batching: cross-request {batching}; "
-            f"microbatch {'on' if self.microbatch else 'off'}",
+            f"compiled {'on' if self.compiled else 'off'}",
+            f"  batching: cross-request {batching}",
             f"  admission: {self.max_pending} slots, timeout "
             f"{self.default_timeout:g}s, cache {self.cache_size}",
             f"  resilience: {self.retry.max_attempts} attempts, breaker "

@@ -14,9 +14,9 @@ Configuration is one frozen :class:`~repro.serve.EngineConfig` value —
 ``InferenceEngine(registry, key, config=EngineConfig(...))`` is the
 *only* constructor signature (the historical kwarg-soup shim warned for
 two releases and is gone; stray keywords now raise :class:`TypeError`).
-``config.gemm_backend`` is applied to the compiled model at construction
-(:meth:`repro.compile.CompiledModel.set_gemm_backend`), and the resolved
-per-conv kernel selection is echoed under ``stats()["kernels"]``.
+The registry shares one compiled model per key across engines; it is
+never mutated after it is built, so engines with different configs can
+serve the same key concurrently.
 
 Execution modes per tile job:
 
@@ -32,10 +32,6 @@ Execution modes per tile job:
   per sample (``CompiledModel.run(exact_batch=True)``), so the output
   stays **byte-identical** to unbatched serving — the collapsed nets are
   dispatch-bound, which is where coalescing pays (see ``docs/serving.md``).
-* **micro-batched** (``microbatch=True``, legacy): same-shape tiles *of
-  one request* are stacked through a single stacked matmul.  Fewer Python
-  round-trips at the cost of bit-exactness (BLAS may reassociate across
-  batch layouts; results agree to ~1 ulp).
 
 Requests are admitted through a bounded slot pool (load-shedding beats
 unbounded queueing), carry a deadline (:class:`RequestTimeout`), and
@@ -72,13 +68,13 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..datasets.degradation import bicubic_upscale
 from ..deploy.tiled import receptive_radius
-from ..nn import Module, Tensor, no_grad
+from ..nn import Module
 from ..obs import trace as _trace
 from ..resilience import CircuitBreaker, FaultInjector, WorkerDeath
 from ..train import predict_image
@@ -164,23 +160,9 @@ def plan_tiles(
     return specs
 
 
-def predict_batch(model: Module, patches: np.ndarray) -> np.ndarray:
-    """Run a ``(N, H, W, 1)`` stack through one forward pass per layer.
-
-    The batch axis rides through the same im2col ``conv2d`` the single-image
-    path uses — one matmul covers all N tiles, which is the micro-batching
-    win.  Returns ``(N, sH, sW)`` clipped to [0, 1] like ``predict_image``.
-    Approximate across the batch axis (~1 ulp); for the bit-exact batched
-    path see :func:`predict_batch_exact`.
-    """
-    model.eval()
-    with no_grad():
-        out = model(Tensor(patches)).data
-    return np.clip(out[..., 0], 0.0, 1.0)
-
-
 def predict_batch_exact(model: Module, patches: np.ndarray) -> np.ndarray:
-    """Like :func:`predict_batch`, but bit-identical per sample to
+    """Run a ``(N, H, W, 1)`` tile stack; returns ``(N, sH, sW)`` clipped
+    to [0, 1], bit-identical per sample to
     :func:`~repro.train.predict_image` on each tile alone.
 
     Compiled models share one pad/im2col pass across the batch and run
@@ -275,10 +257,6 @@ class InferenceEngine:
             try:
                 self.model = registry.get_compiled(key)
                 self.compiled = True
-                # The registry shares one CompiledModel per key across
-                # engines, so the backend applied last wins — concurrent
-                # engines over one key should agree (see EngineConfig).
-                self.model.set_gemm_backend(config.gemm_backend)
             except CaptureError:
                 self.model = registry.get(key)
                 self.compile_fallback = True
@@ -288,7 +266,6 @@ class InferenceEngine:
         self.tile = config.tile
         self.halo = (receptive_radius(self.model) if config.halo is None
                      else config.halo)
-        self.microbatch = config.microbatch
         self.max_batch = config.max_batch
         self.batch_window = config.batch_window_ms / 1e3
         self.default_timeout = config.default_timeout
@@ -466,35 +443,14 @@ class InferenceEngine:
         # Workers adopt the request span as parent: tile/stitch spans land
         # in this trace no matter which pool thread runs them.
         request.ctx = root.context
-        jobs = self._group(specs)
         root.attrs["tiles"] = len(specs)
-        root.attrs["jobs"] = len(jobs)
-        request.pending = len(jobs)
-        for spec_group in jobs:
-            # Only singleton jobs coalesce across requests; legacy
-            # micro-batch groups are already stacked and ride the express
-            # lane.
-            job = TileJob(
-                request, spec_group,
-                group=(self.key, spec_group[0].halo_shape),
-                batchable=len(spec_group) == 1,
+        request.pending = len(specs)
+        for spec in specs:
+            self._scheduler.put(
+                TileJob(request, spec, group=(self.key, spec.halo_shape))
             )
-            self._scheduler.put(job)
             self._queue_depth.inc()
         return request
-
-    def _group(self, specs: Sequence[TileSpec]) -> List[List[TileSpec]]:
-        """Group tiles into jobs: singletons, or same-shape micro-batches."""
-        if not self.microbatch:
-            return [[s] for s in specs]
-        by_shape: Dict[Tuple[int, int], List[TileSpec]] = {}
-        for s in specs:
-            by_shape.setdefault(s.halo_shape, []).append(s)
-        jobs = []
-        for group in by_shape.values():
-            for i in range(0, len(group), self.max_batch):
-                jobs.append(group[i : i + self.max_batch])
-        return jobs
 
     # ------------------------------------------------------------------ #
     # worker side
@@ -569,7 +525,7 @@ class InferenceEngine:
         for job in batch:
             try:
                 if not job.request.cancelled:
-                    self._run_job(job.request, job.specs)
+                    self._run_job(job.request, job.spec)
             except WorkerDeath:
                 raise
             except BaseException as exc:  # noqa: BLE001 — reported to caller
@@ -607,7 +563,7 @@ class InferenceEngine:
     def _compute_coalesced(self, jobs: List[TileJob]) -> None:
         """Stack same-shape tiles of several requests into one exact pass."""
         s = self.scale
-        specs = [j.specs[0] for j in jobs]
+        specs = [j.spec for j in jobs]
         shape = specs[0].halo_shape
         requests = len({id(j.request) for j in jobs})
         with _trace.span(
@@ -618,7 +574,7 @@ class InferenceEngine:
                 j.request.lr[t.hy0:t.hy1, t.hx0:t.hx1]
                 for j, t in zip(jobs, specs)
             ])[..., None]
-            outs = self._predict_stack(patches, exact=True)
+            outs = self._predict_stack(patches)
             for j, t, sr in zip(jobs, specs, outs):
                 cy0, cx0 = (t.y0 - t.hy0) * s, (t.x0 - t.hx0) * s
                 cy1 = cy0 + (t.y1 - t.y0) * s
@@ -638,7 +594,7 @@ class InferenceEngine:
                 ):
                     pass
 
-    def _run_job(self, request: _Request, specs: List[TileSpec]) -> None:
+    def _run_job(self, request: _Request, spec: TileSpec) -> None:
         """One tile job, with per-attempt fault injection and retries."""
         with _trace.attach(request.ctx):
             attempts = self.retry.max_attempts
@@ -646,7 +602,7 @@ class InferenceEngine:
                 try:
                     if self.fault_injector is not None:
                         self.fault_injector.on_tile()
-                    self._compute(request, specs)
+                    self._compute(request, spec)
                     return
                 except WorkerDeath:
                     raise
@@ -658,61 +614,46 @@ class InferenceEngine:
                         u = self._retry_rng.random()
                     time.sleep(self.retry.backoff(attempt, u))
 
-    def _predict_stack(self, patches: np.ndarray, exact: bool) -> np.ndarray:
+    def _predict_stack(self, patches: np.ndarray) -> np.ndarray:
         """Run an ``(N, h, w, 1)`` tile stack on the configured backend.
 
-        Thread backend: the in-process forward pass.  Process backend:
-        ship the stack through the shared-memory pool — same predict
-        functions worker-side, so the result is bit-identical either
-        way.  A :class:`~repro.dataplane.ProcessWorkerDied` escapes as an
-        ordinary exception, which the callers' retry/fallback machinery
-        absorbs exactly like any transient tile fault.
+        Thread backend: the in-process exact batched pass.  Process
+        backend: ship the stack through the shared-memory pool — same
+        predict function worker-side, so the result is bit-identical
+        either way.  A :class:`~repro.dataplane.ProcessWorkerDied`
+        escapes as an ordinary exception, which the callers'
+        retry/fallback machinery absorbs exactly like any transient tile
+        fault.
         """
         if self._pool is not None:
             sp = _trace.current_span()
             return self._pool.submit(
-                patches,
-                mode="exact" if exact else "stack",
-                ctx=None if sp is None else sp.context,
+                patches, ctx=None if sp is None else sp.context,
             )
-        if exact:
-            return predict_batch_exact(self.model, patches)
-        return predict_batch(self.model, patches)
+        return predict_batch_exact(self.model, patches)
 
-    def _compute(self, request: _Request, specs: List[TileSpec]) -> None:
+    def _compute(self, request: _Request, t: TileSpec) -> None:
         lr, s = request.lr, self.scale
-        if len(specs) > 1:
-            with _trace.span("serve.tile_batch", tiles=len(specs)):
-                patches = np.stack(
-                    [lr[t.hy0 : t.hy1, t.hx0 : t.hx1] for t in specs]
-                )[..., None]
-                outs = self._predict_stack(patches, exact=False)
-            self.telemetry.counter("engine.microbatches").inc()
-        else:
-            t = specs[0]
-            with _trace.span(
-                "serve.tile", y0=t.y0, x0=t.x0,
-                h=t.y1 - t.y0, w=t.x1 - t.x0,
-            ):
-                patch = lr[t.hy0 : t.hy1, t.hx0 : t.hx1]
-                if self._pool is not None:
-                    # predict_batch_exact on a 1-stack is bit-identical
-                    # to predict_image on the tile (the parity contract),
-                    # so both backends stitch the same pixels.
-                    outs = self._predict_stack(
-                        patch[None, ..., None], exact=True
-                    )
-                else:
-                    outs = [predict_image(self.model, patch)]
-        self.telemetry.counter("engine.tiles").inc(len(specs))
-        with _trace.span("serve.stitch", tiles=len(specs)):
-            for t, sr in zip(specs, outs):
-                cy0, cx0 = (t.y0 - t.hy0) * s, (t.x0 - t.hx0) * s
-                cy1 = cy0 + (t.y1 - t.y0) * s
-                cx1 = cx0 + (t.x1 - t.x0) * s
-                request.out[t.y0 * s : t.y1 * s, t.x0 * s : t.x1 * s] = sr[
-                    cy0:cy1, cx0:cx1
-                ]
+        with _trace.span(
+            "serve.tile", y0=t.y0, x0=t.x0,
+            h=t.y1 - t.y0, w=t.x1 - t.x0,
+        ):
+            patch = lr[t.hy0 : t.hy1, t.hx0 : t.hx1]
+            if self._pool is not None:
+                # predict_batch_exact on a 1-stack is bit-identical to
+                # predict_image on the tile (the parity contract), so
+                # both backends stitch the same pixels.
+                sr = self._predict_stack(patch[None, ..., None])[0]
+            else:
+                sr = predict_image(self.model, patch)
+        self.telemetry.counter("engine.tiles").inc()
+        with _trace.span("serve.stitch", tiles=1):
+            cy0, cx0 = (t.y0 - t.hy0) * s, (t.x0 - t.hx0) * s
+            cy1 = cy0 + (t.y1 - t.y0) * s
+            cx1 = cx0 + (t.x1 - t.x0) * s
+            request.out[t.y0 * s : t.y1 * s, t.x0 * s : t.x1 * s] = sr[
+                cy0:cy1, cx0:cx1
+            ]
 
     # ------------------------------------------------------------------ #
     # supervision
@@ -825,12 +766,6 @@ class InferenceEngine:
         snap["registry"] = self.registry.stats()
         snap["breaker"] = self.breaker.snapshot()
         snap["batching"] = self._batching_stats()
-        # The resolved per-conv kernel selection (repro.kernels): backend
-        # plus one {node, shape, kernel, source} row per conv.  getattr —
-        # tests swap self.model for duck-typed doubles.
-        kernel_plan = getattr(self.model, "kernel_plan", None)
-        if self.compiled and kernel_plan is not None:
-            snap["kernels"] = kernel_plan.stats()
         if self._pool is not None:
             snap["dataplane"] = self._pool.stats()
         if self.fault_injector is not None:

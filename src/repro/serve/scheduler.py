@@ -11,7 +11,8 @@ forward pass instead of each paying full freight.
 :class:`BatchScheduler` replaces the engine's plain FIFO queue.  Workers
 ask it for work and receive a *batch*: a list of :class:`TileJob` whose
 tiles all share one ``(ModelKey, halo-shape)`` group and therefore stack
-into a single im2col conv call per layer (executed bit-exactly — see
+into one forward pass: one pad + im2col pass per layer, then one GEMM per
+sample so every tile stays bit-exact (see
 ``CompiledModel.run(exact_batch=True)``).
 
 Dispatch policy
@@ -30,11 +31,6 @@ request contributes at most ⌈max_batch / lanes⌉ tiles to each batch and
 a one-tile request never waits behind a giant neighbour.  Across groups,
 the one whose head job is oldest dispatches first (global FIFO in
 arrival terms).
-
-Jobs marked non-batchable (legacy within-request micro-batch groups, or
-models without an exact batched path) bypass the window entirely and
-dispatch alone, in arrival order, ahead of batchable work of the same
-age — they have already been grouped or cannot benefit from waiting.
 """
 
 from __future__ import annotations
@@ -48,23 +44,20 @@ __all__ = ["BatchScheduler", "TileJob"]
 
 
 class TileJob:
-    """One unit of worker work: tile spec(s) of one in-flight request.
+    """One unit of worker work: one tile of one in-flight request.
 
-    ``specs`` is usually a single :class:`~repro.serve.engine.TileSpec`;
-    legacy micro-batch jobs carry several (and are never re-coalesced).
+    ``spec`` is the tile's :class:`~repro.serve.engine.TileSpec`;
     ``group`` identifies the batchable shape class — the engine uses
     ``(model key, halo shape)`` — and ``request`` is opaque to the
     scheduler except for fair-share identity.
     """
 
-    __slots__ = ("request", "specs", "group", "batchable", "seq", "enqueued")
+    __slots__ = ("request", "spec", "group", "seq", "enqueued")
 
-    def __init__(self, request, specs, group: Hashable = None,
-                 batchable: bool = True) -> None:
+    def __init__(self, request, spec, group: Hashable) -> None:
         self.request = request
-        self.specs = list(specs)
+        self.spec = spec
         self.group = group
-        self.batchable = batchable and group is not None
         self.seq = 0          # assigned by the scheduler
         self.enqueued = 0.0   # assigned by the scheduler
 
@@ -132,7 +125,6 @@ class BatchScheduler:
         self._clock = clock
         self._cond = threading.Condition()
         self._groups: "OrderedDict[Hashable, _Group]" = OrderedDict()
-        self._express: Deque[TileJob] = deque()   # non-batchable, FIFO
         self._seq = 0
         self._depth = 0
         self._closed = False
@@ -161,17 +153,11 @@ class BatchScheduler:
             self._cond.notify_all()
 
     def _admit(self, job: TileJob, front: bool) -> None:
-        if job.batchable:
-            group = self._groups.get(job.group)
-            if group is None:
-                group = _Group()
-                self._groups[job.group] = group
-            group.add(job, front=front)
-        else:
-            if front:
-                self._express.appendleft(job)
-            else:
-                self._express.append(job)
+        group = self._groups.get(job.group)
+        if group is None:
+            group = _Group()
+            self._groups[job.group] = group
+        group.add(job, front=front)
         self._depth += 1
 
     # ------------------------------------------------------------------ #
@@ -186,10 +172,6 @@ class BatchScheduler:
         deadline = None if timeout is None else self._clock() + timeout
         with self._cond:
             while True:
-                if self._express:
-                    job = self._express.popleft()
-                    self._depth -= 1
-                    return [job]
                 batch, next_ready = self._try_assemble()
                 if batch is not None:
                     return batch
@@ -252,8 +234,7 @@ class BatchScheduler:
     def drain(self) -> List[TileJob]:
         """Remove and return every pending job (abrupt shutdown)."""
         with self._cond:
-            jobs = list(self._express)
-            self._express.clear()
+            jobs: List[TileJob] = []
             for group in self._groups.values():
                 while group.size:
                     jobs.extend(group.take(group.size))
@@ -267,6 +248,6 @@ class BatchScheduler:
         return self._closed
 
     def depth(self) -> int:
-        """Jobs currently queued (all groups + express lane)."""
+        """Jobs currently queued (all groups)."""
         with self._cond:
             return self._depth

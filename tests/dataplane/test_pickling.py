@@ -45,35 +45,10 @@ class TestCompiledModelPickle:
         assert clone is not model
         assert clone.graph is not model.graph
 
-    def test_gemm_backend_travels_with_the_pickle(self):
-        # A process worker must replay the parent's kernel selection —
-        # the selection is pinned per node in the pickle, so both sides
-        # compute identical bits even if the child host's cache differs.
-        from repro.compile import compile_model
-        from repro.core import SESR
-
-        model = compile_model(
-            SESR.from_name("M3", scale=2).collapse(),
-            gemm_backend="blocked",
-        )
-        clone = pickle.loads(pickle.dumps(model))
-        assert clone.gemm_backend == "blocked"
-        # Same kernel per node; the clone records source="pinned" (it
-        # replayed the parent's choices, it did not re-resolve them).
-        assert {c.node: c.kernel for c in clone.kernel_plan.choices} == \
-            {c.node: c.kernel for c in model.kernel_plan.choices}
-        assert {c.source for c in clone.kernel_plan.choices} == {"pinned"}
-        x = np.random.default_rng(1).random((3, 16, 16, 1))
-        x = x.astype(np.float32)
-        np.testing.assert_array_equal(
-            model.run(x, exact_batch=True), clone.run(x, exact_batch=True)
-        )
-
-
 class TestEngineConfigPickle:
     def test_round_trip_preserves_every_field(self):
         cfg = EngineConfig(
-            workers=3, tile=(48, 64), halo=7, microbatch=True, max_batch=4,
+            workers=3, tile=(48, 64), halo=7, max_batch=4,
             batch_window_ms=2.5, cache_size=9, max_pending=5,
             default_timeout=12.0, retry=RetryPolicy(max_attempts=2),
             breaker_threshold=3, breaker_cooldown=1.5, degraded_mode=True,
@@ -92,7 +67,7 @@ class TestEngineConfigPickle:
 class TestEnvelopePickle:
     def test_job_and_reply_round_trip(self):
         job = JobEnvelope(kind="run", seq=7, slot=2, generation=5,
-                          shape=(3, 16, 16), mode="exact",
+                          shape=(3, 16, 16),
                           trace=TraceContext("a" * 16, "b" * 8))
         assert pickle.loads(pickle.dumps(job)) == job
         reply = ReplyEnvelope(seq=7, slot=2, generation=5, ok=False,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.dataplane import ProcessWorkerDied, ProcessWorkerPool
-from repro.serve.engine import predict_batch, predict_batch_exact
+from repro.serve.engine import predict_batch_exact
 from repro.serve.registry import ModelKey, ModelRegistry
 
 
@@ -58,28 +58,21 @@ class TestBitIdentity:
     def test_exact_mode_matches_in_process(self, model, patches):
         with ProcessWorkerPool(model, workers=1, tile=(24, 24), halo=0,
                                scale=2) as pool:
-            out = pool.submit(patches, mode="exact")
+            out = pool.submit(patches)
         np.testing.assert_array_equal(
             out, predict_batch_exact(model, patches)
         )
-
-    def test_stack_mode_matches_in_process(self, model, patches):
-        with ProcessWorkerPool(model, workers=1, tile=(24, 24), halo=0,
-                               scale=2) as pool:
-            out = pool.submit(patches, mode="stack")
-        np.testing.assert_array_equal(out, predict_batch(model, patches))
-
 
 class TestDeathHandling:
     def test_idle_death_is_replaced_at_checkout(self, model, patches):
         with ProcessWorkerPool(model, workers=1, tile=(24, 24), halo=0,
                                scale=2) as pool:
-            ref = pool.submit(patches, mode="exact")
+            ref = pool.submit(patches)
             os.kill(pool.pids()[0], signal.SIGKILL)
             time.sleep(0.2)
             # No supervisor ran: checkout itself notices the corpse,
             # staffs a replacement, and the job still computes.
-            out = pool.submit(patches, mode="exact")
+            out = pool.submit(patches)
             np.testing.assert_array_equal(out, ref)
             stats = pool.stats()
             assert stats["deaths"] == 1 and stats["respawns"] == 1
@@ -113,9 +106,7 @@ class TestDeathHandling:
 
             def _submit():
                 try:
-                    pool.submit(
-                        np.zeros((1, 8, 8, 1), np.float32), mode="stack"
-                    )
+                    pool.submit(np.zeros((1, 8, 8, 1), np.float32))
                 except ProcessWorkerDied as exc:
                     errors.append(exc)
 
@@ -153,7 +144,7 @@ class TestTeardown:
                                  scale=2)
         segment = pool.arena.name
         procs = [h.proc for h in pool._handles]
-        pool.submit(patches, mode="exact")
+        pool.submit(patches)
         assert segment in _shm_entries()
         pool.shutdown()
         assert segment not in _shm_entries()
@@ -168,4 +159,4 @@ class TestTeardown:
         from repro.dataplane import PoolClosed
 
         with pytest.raises(PoolClosed):
-            pool.submit(patches, mode="exact")
+            pool.submit(patches)

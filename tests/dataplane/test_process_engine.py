@@ -36,13 +36,6 @@ class TestBitIdentity:
         out = _upscale(registry, img, worker_backend="process")
         np.testing.assert_array_equal(ref, out)
 
-    def test_microbatch(self, registry, img):
-        ref = _upscale(registry, img, worker_backend="thread",
-                       microbatch=True)
-        out = _upscale(registry, img, worker_backend="process",
-                       microbatch=True)
-        np.testing.assert_array_equal(ref, out)
-
     def test_cross_request_coalescing_window(self, registry, img):
         ref = _upscale(registry, img, worker_backend="thread",
                        batch_window_ms=4.0)

@@ -7,6 +7,7 @@ purely a throughput knob, never an accuracy knob.  A poisoned batch
 fails only the faulty request; its batchmates re-run singly and succeed.
 """
 
+import pickle
 import threading
 import urllib.request
 
@@ -14,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.datasets import decode_netpbm, encode_netpbm
-from repro.obs.profiler import profile
 from repro.serve import (
     EngineConfig,
     InferenceEngine,
@@ -143,62 +143,62 @@ class TestCoalescing:
         assert b["mean_batch_size"] == 1.0
 
 
-class TestBlockedBackend:
-    """Tentpole: ``gemm_backend="blocked"`` turns a coalesced batch into
-    ONE stacked GEMM per conv — and stays bit-identical to window-0
-    single-sample serving on the same backend."""
+class TestSharedCompiledModel:
+    """The registry shares one compiled model per key across engines; a
+    compiled model is immutable once built, so a second engine over the
+    same key cannot disturb the first one's in-flight tiles."""
 
-    def test_coalesced_blocked_matches_window_zero_singles(self, registry):
-        images = _images(12, (24, 24), seed=7)
-        blocked = BATCHED.replace(gemm_backend="blocked")
+    def test_second_engine_leaves_the_serving_engine_untouched(
+            self, registry):
+        images = _images(8, (24, 24), seed=21)
         ref_engine = InferenceEngine(
-            registry, KEY, config=blocked.replace(batch_window_ms=0.0)
+            registry, KEY, config=BATCHED.replace(batch_window_ms=0.0)
         )
         try:
             want = [ref_engine.upscale(img) for img in images]
         finally:
             ref_engine.shutdown()
+        shared = registry.get_compiled(KEY)
+        state = shared.__getstate__()
+        pickled = pickle.dumps(shared)
 
-        engine = InferenceEngine(registry, KEY, config=blocked)
+        engine = InferenceEngine(registry, KEY, config=BATCHED)
+        rounds, results = 6, []
+        serving = threading.Event()
+
+        def serve():
+            for _ in range(rounds):
+                serving.set()
+                results.append(_concurrent_upscale(engine, images))
+
+        server = threading.Thread(target=serve)
         try:
-            # Calibrate GEMMs-per-forward-pass on the engine's own model.
-            with profile() as cal:
-                engine.model.run(
-                    np.zeros((1, 8, 8, 1), dtype=np.float32)
-                )
-            n_convs = cal.stats()["gemm.blocked"].calls
-            with profile() as prof:
-                got = _concurrent_upscale(engine, images)
+            server.start()
+            assert serving.wait(timeout=30)
+            other = InferenceEngine(registry, KEY, config=EngineConfig(
+                workers=1, tile=16, cache_size=0, supervise=False,
+                max_batch=2,
+            ))
+            try:
+                other.upscale(images[0])
+            finally:
+                other.shutdown()
+            server.join(timeout=120)
             stats = engine.stats()
+            retries = engine.telemetry.counter("engine.tile_retries").value
         finally:
             engine.shutdown()
 
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)  # bitwise, not allclose
-        assert stats["batching"]["coalesced_batches"] >= 1
+        assert not server.is_alive()
+        assert len(results) == rounds  # no round raised
+        for got in results:
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)  # bitwise, not allclose
+        assert retries == 0
         assert stats["batching"]["batch_fallbacks"] == 0
-        # One stacked GEMM per conv per dispatch — never per sample: the
-        # GEMM count scales with forward passes, not with requests.
-        ops = prof.stats()
-        assert "gemm.blas" not in ops
-        dispatches = stats["counters"]["engine.batches"]
-        assert dispatches < len(images)  # coalescing really merged work
-        assert ops["gemm.blocked"].calls == n_convs * dispatches
-
-    def test_stats_expose_the_kernel_plan(self, registry):
-        engine = InferenceEngine(
-            registry, KEY, config=BATCHED.replace(gemm_backend="blocked")
-        )
-        try:
-            kernels = engine.stats()["kernels"]
-        finally:
-            engine.shutdown()
-        assert kernels["backend"] == "blocked"
-        assert kernels["choices"]  # one row per conv node
-        for choice in kernels["choices"]:
-            assert choice["kernel"] == "blocked"
-            assert choice["source"] == "forced"
-            assert set(choice) == {"node", "shape", "kernel", "source"}
+        assert registry.get_compiled(KEY) is shared
+        assert shared.__getstate__() == state
+        assert pickle.dumps(shared) == pickled
 
 
 class _FailBatchOnce:

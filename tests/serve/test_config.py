@@ -110,17 +110,39 @@ def test_legacy_kwargs_raise_type_error(registry, legacy):
         InferenceEngine(registry, KEY, **legacy)
 
 
-def test_gemm_backend_default_honours_env(monkeypatch):
-    monkeypatch.setenv("REPRO_GEMM_BACKEND", "blocked")
-    assert EngineConfig().gemm_backend == "blocked"
-    monkeypatch.delenv("REPRO_GEMM_BACKEND")
-    assert EngineConfig().gemm_backend == "blas"
-    # explicit always beats the env var
-    monkeypatch.setenv("REPRO_GEMM_BACKEND", "auto")
-    assert EngineConfig(gemm_backend="blas").gemm_backend == "blas"
+# --------------------------------------------------------------------- #
+# the pinned config surface
+# --------------------------------------------------------------------- #
+def test_config_fields_are_pinned():
+    """Every knob is deliberate: adding or removing one must update this."""
+    assert {f.name for f in dataclasses.fields(EngineConfig)} == {
+        "workers", "tile", "halo", "max_batch", "batch_window_ms",
+        "cache_size", "max_pending", "default_timeout", "retry",
+        "breaker_threshold", "breaker_cooldown", "degraded_mode",
+        "supervise", "supervise_interval", "wedge_timeout", "compiled",
+        "worker_backend",
+    }
 
 
-def test_describe_mentions_gemm_backend():
-    assert "gemm blocked" in EngineConfig(
-        gemm_backend="blocked"
-    ).describe()
+@pytest.mark.parametrize("removed", [
+    {"gemm_backend": "blas"},
+    {"microbatch": True},
+])
+def test_removed_fields_raise_type_error(removed):
+    with pytest.raises(TypeError):
+        EngineConfig(**removed)
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--microbatch"],
+    ["serve", "--gemm-backend", "blas"],
+    ["tune"],
+])
+def test_removed_cli_surface_is_an_argparse_error(argv, capsys):
+    """Old scripts fail loudly instead of being silently ignored."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "error:" in capsys.readouterr().err

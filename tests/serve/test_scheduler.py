@@ -19,8 +19,8 @@ class FakeClock:
         return self.now
 
 
-def job(request="r", group="g", batchable=True):
-    return TileJob(request, specs=["spec"], group=group, batchable=batchable)
+def job(request="r", group="g"):
+    return TileJob(request, spec="spec", group=group)
 
 
 # --------------------------------------------------------------------- #
@@ -104,20 +104,6 @@ def test_fair_share_round_robin_across_requests():
     assert owners.count(giant) == 3
 
 
-def test_express_jobs_bypass_the_window():
-    clock = FakeClock()
-    s = BatchScheduler(max_batch=8, window=60.0, clock=clock)
-    s.put(job(request="b", group="g"))                 # batchable, waits
-    s.put(job(request="e", group=None, batchable=False))  # express
-    batch = s.get(timeout=0)
-    assert len(batch) == 1 and batch[0].request == "e"
-    assert s.get(timeout=0) is None  # batchable one still inside window
-
-
-def test_jobs_without_group_are_never_batchable():
-    assert not TileJob("r", ["s"], group=None, batchable=True).batchable
-
-
 # --------------------------------------------------------------------- #
 # requeue / lifecycle
 # --------------------------------------------------------------------- #
@@ -149,7 +135,7 @@ def test_close_flushes_open_windows_then_returns_none():
 def test_drain_removes_everything():
     s = BatchScheduler(max_batch=8, window=60.0)
     jobs = [job(request=f"r{i}") for i in range(3)]
-    jobs.append(job(request="e", group=None, batchable=False))
+    jobs.append(job(request="e", group="h"))
     for j in jobs:
         s.put(j)
     assert s.depth() == 4

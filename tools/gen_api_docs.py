@@ -20,7 +20,6 @@ PACKAGES = [
     "repro.train",
     "repro.deploy",
     "repro.compile",
-    "repro.kernels",
     "repro.hw",
     "repro.theory",
     "repro.nas",
