@@ -19,9 +19,9 @@ Serving::
 ...     api.ModelRegistry(), api.ModelKey("M5", 2), config=config)
 >>> server = api.make_server(engine, port=8000)
 
-``make_async_server`` binds the event-loop front-end instead (same
-``/v1`` wire contract); ``AsyncSRServer`` / ``ProcessWorkerPool`` are
-the classes behind ``--frontend async`` / ``worker_backend="process"``.
+``make_server`` binds an ``AsyncSRServer``, the event-loop HTTP
+front-end; ``ProcessWorkerPool`` is the class behind
+``worker_backend="process"``.
 
 Deeper machinery (custom training loops, the NAS searcher, the NPU
 estimator, chaos tooling) stays in its subsystem package; this module
@@ -36,7 +36,7 @@ import numpy as np
 
 from .compile import compile_model
 from .core import FSRCNN, SESR
-from .dataplane import AsyncSRServer, ProcessWorkerPool, make_async_server
+from .dataplane import AsyncSRServer, ProcessWorkerPool
 from .datasets import rgb_to_ycbcr, ycbcr_to_rgb
 from .datasets.degradation import bicubic_upscale
 from .deploy import tiled_upscale
@@ -61,7 +61,6 @@ __all__ = [
     "ModelKey",
     "ModelRegistry",
     "ProcessWorkerPool",
-    "make_async_server",
     "make_server",
 ]
 

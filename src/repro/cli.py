@@ -431,18 +431,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except (KeyError, FileNotFoundError, CheckpointCorrupt) as exc:
         print(f"repro serve: error: {exc.args[0]}", file=sys.stderr)
         return 2
-    if args.frontend == "async":
-        from .dataplane import make_async_server
-
-        server = make_async_server(
-            engine, args.host, args.port, verbose=args.verbose,
-            max_body_bytes=args.max_body_bytes,
-        )
-    else:
-        server = make_server(
-            engine, args.host, args.port, verbose=args.verbose,
-            max_body_bytes=args.max_body_bytes,
-        )
+    server = make_server(
+        engine, args.host, args.port, max_body_bytes=args.max_body_bytes,
+    )
     host, port = server.server_address[:2]
     print(f"serving {args.model} x{args.scale} ({args.precision}) "
           f"on http://{host}:{port} [{args.frontend} frontend]")
@@ -534,10 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "or 'process' (spawned workers + shared-memory "
                         "tile arenas; escapes the GIL).  Default: the "
                         "REPRO_WORKER_BACKEND env var, else 'thread'")
-    p.add_argument("--frontend", choices=("sync", "async"), default="sync",
-                   help="HTTP front-end: 'sync' (thread per connection) "
-                        "or 'async' (single event loop; same /v1 wire "
-                        "contract)")
+    p.add_argument("--frontend", choices=("async",), default="async",
+                   help="HTTP front-end: 'async' (one event loop), the "
+                        "only one; accepted for compatibility")
     p.add_argument("--tile", type=int, default=96,
                    help="LR tile size fanned across workers")
     p.add_argument("--precision", choices=("fp32", "int8"), default="fp32",
@@ -573,8 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-compile", action="store_true",
                    help="serve the eager collapsed net instead of the "
                         "compiled plan-cache path")
-    p.add_argument("--verbose", action="store_true",
-                   help="log each HTTP request")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(

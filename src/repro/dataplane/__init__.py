@@ -1,5 +1,5 @@
 """Process-based execution plane: shared-memory tiles, spawned workers,
-and an asyncio HTTP front-end.
+and the asyncio HTTP front-end.
 
 The thread backend in :mod:`repro.serve` keeps the engine's *control
 plane* (scheduling, retries, circuit breaking, tracing) simple, but its
@@ -29,16 +29,15 @@ dispatcher threads proxy compute to:
   suite passes unmodified), idle deaths are respawned by the engine's
   supervisor heartbeat, and shutdown reaps every process and unlinks the
   arena — nothing is left in ``/dev/shm``.
-* :mod:`~repro.dataplane.aserver` — :class:`AsyncSRServer`, an event-loop
-  front-end serving the exact ``/v1`` wire contract of
-  :class:`repro.serve.SRServer` (routes, error schema, trace-id
-  round-trip) without a thread per connection.
+* :mod:`~repro.dataplane.aserver` — :class:`AsyncSRServer`, the
+  event-loop HTTP front-end of ``repro serve`` and
+  :func:`repro.serve.make_server`: the ``/v1`` wire contract (routes,
+  error schema, trace-id round-trip) without a thread per connection.
 
 Select the backend per engine via
 ``EngineConfig(worker_backend="process")`` (or the
-``REPRO_WORKER_BACKEND`` environment variable), and the front-end via
-``repro serve --frontend async``.  See ``docs/serving.md`` for the full
-data-plane architecture.
+``REPRO_WORKER_BACKEND`` environment variable).  See
+``docs/serving.md`` for the full data-plane architecture.
 """
 
 from .arena import (
@@ -49,7 +48,7 @@ from .arena import (
     attach_arena,
     slot_layout,
 )
-from .aserver import AsyncSRServer, make_async_server
+from .aserver import AsyncSRServer
 from .envelope import JobEnvelope, ReplyEnvelope, TraceContext
 from .pool import PoolClosed, ProcessWorkerDied, ProcessWorkerPool, RemoteComputeError
 from .worker import worker_main
@@ -68,7 +67,6 @@ __all__ = [
     "StaleSlot",
     "TraceContext",
     "attach_arena",
-    "make_async_server",
     "slot_layout",
     "worker_main",
 ]

@@ -7,8 +7,9 @@ configuration is one frozen :class:`EngineConfig` value, same-shape tile
 jobs from concurrent requests coalesced bit-exactly by a dynamic
 :class:`BatchScheduler` (:mod:`~repro.serve.scheduler`), repeated inputs
 answered from an LRU output cache (:mod:`~repro.serve.cache`), everything
-measured (:mod:`~repro.serve.telemetry`) and exposed over a stdlib HTTP
-server with a versioned ``/v1`` API (:mod:`~repro.serve.http`).
+measured (:mod:`~repro.serve.telemetry`) and exposed over HTTP with a
+versioned ``/v1`` API: :func:`make_server` binds the asyncio front-end
+(:class:`repro.dataplane.AsyncSRServer`) over an engine.
 Front-end: ``python -m repro.cli serve``.
 """
 
@@ -26,13 +27,7 @@ from .engine import (
     predict_batch_exact,
 )
 from .scheduler import BatchScheduler, TileJob
-from .http import (
-    SRRequestHandler,
-    SRServer,
-    make_server,
-    upscale_array,
-    upscale_array_ex,
-)
+from .http import make_server, upscale_array_ex
 from .registry import ModelKey, ModelRegistry, build_training_model
 from .telemetry import Counter, Gauge, Histogram, StateGauge, Telemetry
 
@@ -51,10 +46,7 @@ __all__ = [
     "UpscaleResult",
     "plan_tiles",
     "predict_batch_exact",
-    "SRRequestHandler",
-    "SRServer",
     "make_server",
-    "upscale_array",
     "upscale_array_ex",
     "ModelKey",
     "ModelRegistry",

@@ -1,6 +1,5 @@
 """Cross-process tracing: span trees and trace ids survive the dataplane."""
 
-import threading
 import urllib.request
 
 import numpy as np
@@ -92,11 +91,11 @@ class TestSpanWireForm:
 
 
 class TestHTTPTraceRoundTrip:
-    def test_client_trace_id_survives_process_workers(self, engine):
-        srv = make_server(engine, "127.0.0.1", 0)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        try:
+    def test_client_trace_id_survives_process_workers(self):
+        cfg = EngineConfig(workers=1, tile=32, cache_size=0,
+                           worker_backend="process")
+        engine = InferenceEngine(ModelRegistry(), KEY, config=cfg)
+        with make_server(engine, "127.0.0.1", 0) as srv:
             host, port = srv.server_address[:2]
             img = (np.random.default_rng(8).random((24, 24)) * 255)
             body = encode_netpbm(img.astype(np.uint8))
@@ -114,7 +113,3 @@ class TestHTTPTraceRoundTrip:
             # One trace spans client header -> engine -> worker process.
             assert "serve.request" in names
             assert "dataplane.compute" in names
-        finally:
-            srv.shutdown()
-            srv.server_close()  # keep the module-scoped engine alive
-            thread.join(timeout=5)

@@ -59,12 +59,10 @@ def _segments_of(pid):
     return {s for s in _shm_entries() if s.startswith(f"repro-dp-{pid}-")}
 
 
-@pytest.mark.parametrize("sig,frontend", [
-    (signal.SIGTERM, "sync"),
-    (signal.SIGINT, "async"),
-], ids=["sigterm-sync", "sigint-async"])
-def test_signal_drain_reaps_workers_and_shm(sig, frontend):
-    proc = _spawn_serve("--frontend", frontend)
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT],
+                         ids=["sigterm-async", "sigint-async"])
+def test_signal_drain_reaps_workers_and_shm(sig):
+    proc = _spawn_serve("--frontend", "async")
     try:
         _wait_for_banner(proc)
         # The engine is up, so its arena exists right now.

@@ -15,8 +15,7 @@ def test_all_names_resolve():
     expected = {
         "load", "collapse", "compile_model", "upscale",
         "AsyncSRServer", "EngineConfig", "InferenceEngine", "ModelKey",
-        "ModelRegistry", "ProcessWorkerPool", "make_async_server",
-        "make_server",
+        "ModelRegistry", "ProcessWorkerPool", "make_server",
     }
     assert set(api.__all__) == expected
     for name in api.__all__:

@@ -69,3 +69,34 @@ def test_version_exposed():
     import repro
 
     assert repro.__version__
+
+
+@pytest.mark.parametrize("module,name", [
+    ("repro.serve", "SRServer"),
+    ("repro.serve", "SRRequestHandler"),
+    ("repro.serve", "upscale_array"),
+    ("repro.serve.http", "SRServer"),
+    ("repro.serve.http", "SRRequestHandler"),
+    ("repro.serve.http", "upscale_array"),
+    ("repro.dataplane", "make_async_server"),
+    ("repro.api", "make_async_server"),
+])
+def test_sync_front_end_is_gone(module, name):
+    """One HTTP front-end: the threaded server and its aliases are gone."""
+    assert not hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--frontend", "sync"],
+    ["serve", "--verbose"],
+])
+def test_removed_serve_flags_are_an_argparse_error(argv, capsys):
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args(argv)
+    assert err.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    # The one remaining value stays accepted for existing command lines.
+    assert build_parser().parse_args(
+        ["serve", "--frontend", "async"]).frontend == "async"

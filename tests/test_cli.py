@@ -56,10 +56,10 @@ class TestServeFlags:
                                                       monkeypatch):
         # Short-circuit serve_forever so cmd_serve starts, prints its
         # config banner, and drains immediately.
-        from repro.serve import SRServer
+        from repro.dataplane import AsyncSRServer
 
         monkeypatch.setattr(
-            SRServer, "serve_forever",
+            AsyncSRServer, "serve_forever",
             lambda self, *a, **k: (_ for _ in ()).throw(KeyboardInterrupt),
         )
         assert main(["serve", "--model", "M3", "--port", "0",
