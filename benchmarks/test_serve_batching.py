@@ -8,11 +8,12 @@ requests into shared forward passes.  Grid: ``batch_window_ms = 0``
 increasing windows, all at the same worker count and with the output
 cache off.
 
-A coalesced batch shares one pad + im2col pass per conv but issues the
-BLAS GEMM once per sample, so every tile sees the row count of its
-singleton run and the outputs stay bit-identical to window 0.  The
-profiler's op counts pin that: a batch of N tiles records exactly N x
-(convs per forward) ``gemm.blas`` calls, calibrated from one N=1 run.
+A coalesced batch shares one pad pass per conv but issues the BLAS GEMMs
+per sample (one per strip of output rows; a tile of these frames is one
+strip), so every tile sees the row counts of its singleton run and the
+outputs stay bit-identical to window 0.  The profiler's op counts pin
+that: a batch of N tiles records exactly N x (convs per forward)
+``gemm.blas`` calls, calibrated from one N=1 run.
 
 Assertions are functional (host-independent) everywhere; the throughput
 ordering is asserted only on hosts with >= 2 cores, where coalescing can

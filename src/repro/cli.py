@@ -234,7 +234,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
             ["planned peak", f"{mem['arena_bytes']:,} B"],
             ["naive peak", f"{mem['naive_bytes']:,} B"],
             ["liveness lower bound", f"{mem['lower_bound_bytes']:,} B"],
-            ["scratch (cols/tmp/pads)", f"{mem['scratch_bytes']:,} B"],
+            ["cols scratch (one strip)", f"{mem['scratch_bytes']:,} B"],
             ["MACs", f"{graph.macs(args.size, args.size):,}"],
             ["receptive radius", f"{compiled.receptive_radius} px"],
         ],

@@ -11,11 +11,12 @@ drives the same ``CompiledModel`` over its own tiles.
 **Bit-exactness.**  Every kernel replays the eager :mod:`repro.nn.ops`
 float operation chain exactly, only redirecting *where* results land:
 
-* conv = zero-border pad scratch → strided-patch copy into a cols buffer →
-  one sgemm (``np.matmul(..., out=...)`` — the same BLAS call ``cols @
-  wmat`` makes) → broadcast bias add.  Fused epilogues then run in place
-  on the conv's output: the identical elementwise maximum/minimum/multiply/
-  add chain the standalone ops perform.
+* conv = zero-border pad scratch → :func:`repro.nn.im2col.conv_strips`,
+  the very strip loop eager ``conv2d`` runs (per sample and per strip of
+  rows: patch copy into a one-strip cols buffer, one ``np.matmul(...,
+  out=...)`` into the output rows) → broadcast bias add.  Fused epilogues
+  then run in place on the conv's output: the identical elementwise
+  maximum/minimum/multiply/add chain the standalone ops perform.
 * depth-to-space is the same reshape/transpose, copied into a contiguous
   view of the destination; fake-quant calls the very
   :meth:`~repro.deploy.quantize.QuantParams.fake_quant` the eager layer
@@ -30,14 +31,15 @@ models for every zoo variant.
 ``threading.local`` — concurrent serve workers never share mutable
 buffers, and repeat tiles of the same shape (the common serving case)
 allocate nothing.  Scratch (cols / elementwise temp / pad borders) is
-shared across nodes within an arena.  The graph output is always freshly
-allocated per call: returning an arena view would hand the caller a buffer
-the next request overwrites.
+shared across nodes within an arena; the cols scratch holds one strip, so
+its size does not grow with the batch or the frame height.  The graph
+output is always freshly allocated per call: returning an arena view would
+hand the caller a buffer the next request overwrites.
 
 Instrumentation matches the eager path: the profiler sees the same
-``im2col``/``conv2d`` records (same analytic MACs) plus one ``gemm.blas``
-record per sgemm issued — which is how tests count the per-sample GEMMs
-of an exact batch — and each run executes under one ``compile.execute``
+``conv2d`` records (same analytic MACs) and, per strip, one ``im2col`` and
+one ``gemm.blas`` record — so the ``gemm.blas`` count is the number of
+sgemms issued — and each run executes under one ``compile.execute``
 tracing span.
 """
 
@@ -50,7 +52,7 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..nn import Tensor, no_grad
-from ..nn.im2col import extract_patches
+from ..nn.im2col import conv_strips, strip_rows
 from ..nn.modules import Module
 from ..nn.ops import conv2d_transpose, resolve_padding
 from ..obs import profiler as _profiler
@@ -223,7 +225,6 @@ class CompiledModel(Module):
             need = int(np.prod(shapes[name]))
             slot_sizes[slot] = max(slot_sizes[slot], need)
         cols = tmp = 0
-        pad_shapes = set()
         for step in self._steps:
             tmp = max(tmp, int(np.prod(shapes[step["name"]])))
             if step["op"] != "conv":
@@ -231,21 +232,14 @@ class CompiledModel(Module):
             oh, ow = shapes[step["name"]][1:3]
             kh, kw = step["kernel"]
             cols = max(
-                cols, n * oh * ow * kh * kw * step["cin"] // step["groups"]
+                cols, min(strip_rows(ow), oh) * ow
+                * kh * kw * step["cin"] // step["groups"]
             )
-            (pt, pb), (pl, pr) = step["pad"]
-            if pt or pb or pl or pr:
-                ih = round(h * step["res_scale"])
-                iw = round(w * step["res_scale"])
-                pad_shapes.add(
-                    (n, ih + pt + pb, iw + pl + pr, step["cin"])
-                )
         return {
             "shapes": shapes,
             "slot_sizes": slot_sizes,
             "cols": cols,
             "tmp": tmp,
-            "pad_shapes": pad_shapes,
         }
 
     def _arena(self, n: int, h: int, w: int) -> Dict[str, Any]:
@@ -282,18 +276,15 @@ class CompiledModel(Module):
         return arena
 
     def memory_stats(self, in_h: int, in_w: int, n: int = 1) -> Dict[str, int]:
-        """Planned vs naive peak bytes for one input shape (float32)."""
+        """Planned vs naive peak bytes for one input shape (float32);
+        ``scratch_bytes`` is the one-strip cols scratch every conv shares."""
         layout = self._layout(n, in_h, in_w)
-        scratch = 4 * (
-            layout["cols"] + layout["tmp"]
-            + sum(int(np.prod(s)) for s in layout["pad_shapes"])
-        )
         return {
             "arena_bytes": 4 * sum(layout["slot_sizes"]),
             "naive_bytes": self.plan.naive_bytes(in_h, in_w, n),
             "lower_bound_bytes": 4 * n * in_h * in_w
             * self.plan.lower_bound_units,
-            "scratch_bytes": scratch,
+            "scratch_bytes": 4 * layout["cols"],
             "slots": len(layout["slot_sizes"]),
         }
 
@@ -303,22 +294,18 @@ class CompiledModel(Module):
     def forward(self, x: Tensor) -> Tensor:
         return Tensor(self.run(x.data))
 
-    def run(self, x: np.ndarray, exact_batch: bool = False) -> np.ndarray:
+    def run(self, x: np.ndarray) -> np.ndarray:
         """Execute the plan on an NHWC array; returns a fresh array.
 
-        ``exact_batch=True`` makes a batched call (N > 1) *bit-identical*
-        per sample to N independent N=1 calls: padding, im2col patch
-        extraction, and every elementwise op already are (they never mix
-        samples), but BLAS picks its sgemm blocking from the row count
-        ``m = N·h·w``, so a single stacked matmul can reassociate the
-        k-summation differently than the ``m = h·w`` call would.  Exact
-        mode shares one pad + im2col pass across the batch and then runs
-        the matmul per sample on contiguous row slices of the shared cols
-        buffer — each sample sees the very ``(h·w, k) @ (k, c)`` call the
-        singleton path makes.  This is what lets the serving engine's
-        cross-request batch coalescing stay byte-identical to unbatched
-        serving (see ``repro.serve.scheduler``); the parity contract is
-        pinned by ``tests/compile/test_exact_batch.py``.
+        A batched call (N > 1) is *bit-identical* per sample to N
+        independent N=1 calls: every conv issues its sgemms per sample and
+        per strip of rows (:func:`repro.nn.im2col.conv_strips`), so each
+        sample sees the very calls its singleton run makes, and every
+        other op is elementwise or never mixes samples.  This is what lets
+        the serving engine's cross-request batch coalescing stay
+        byte-identical to unbatched serving (see
+        ``repro.serve.scheduler``); the contract is pinned by
+        ``tests/compile/test_exact_batch.py``.
         """
         x = np.asarray(x)
         if x.dtype != np.float32:
@@ -332,14 +319,12 @@ class CompiledModel(Module):
                 f"got {x.shape[3]}"
             )
         n, h, w = x.shape[:3]
-        exact = bool(exact_batch) and n > 1
         arena = self._arena(n, h, w)
         values: Dict[str, np.ndarray] = dict(arena["consts"])
         values[self.graph.inputs[0]] = x
-        with span("compile.execute", model=self.source,
-                  shape=f"{n}x{h}x{w}", exact_batch=exact):
+        with span("compile.execute", model=self.source, shape=f"{n}x{h}x{w}"):
             for step in self._steps:
-                self._exec_step(step, values, arena, exact)
+                self._exec_step(step, values, arena)
         with self._lock:
             self._runs += 1
         return values[self.graph.outputs[0]]
@@ -349,30 +334,18 @@ class CompiledModel(Module):
             return np.empty(arena["shapes"][step["name"]], dtype=np.float32)
         return arena["views"][step["name"]]
 
-    def _exec_step(self, step, values, arena, exact: bool = False) -> None:
+    def _exec_step(self, step, values, arena) -> None:
         op = step["op"]
         if op == "conv":
-            self._exec_conv(step, values, arena, exact)
+            self._exec_conv(step, values, arena)
             return
         src = values[step["srcs"][0]]
         if op == "deconv":
             with no_grad():
-                if exact:
-                    # Per-sample transpose conv: its internal matmul row
-                    # count must match the singleton call's for bitwise
-                    # batch/single parity (see run()).
-                    out = np.concatenate([
-                        conv2d_transpose(
-                            Tensor(src[i:i + 1]), step["w_t"], step["b_t"],
-                            stride=step["stride"],
-                        ).data
-                        for i in range(src.shape[0])
-                    ])
-                else:
-                    out = conv2d_transpose(
-                        Tensor(src), step["w_t"], step["b_t"],
-                        stride=step["stride"],
-                    ).data
+                out = conv2d_transpose(
+                    Tensor(src), step["w_t"], step["b_t"],
+                    stride=step["stride"],
+                ).data
             if step["is_output"]:
                 values[step["name"]] = out
             else:
@@ -409,32 +382,7 @@ class CompiledModel(Module):
             raise ValueError(f"cannot execute op {op!r}")
         values[step["name"]] = dst
 
-    @staticmethod
-    def _matmul_rows(cols, wmat, out2d, n: int, rows: int,
-                     exact: bool, prof=None) -> None:
-        """``out2d = cols @ wmat`` via BLAS, per-sample when ``exact``.
-
-        ``cols`` rows are sample-major (``rows = h*w`` per sample), so the
-        exact path issues one ``(rows, k)`` sgemm per contiguous slice —
-        the same call shape the N=1 run makes, hence the same BLAS kernel
-        and k-summation order.
-        """
-        if exact and n > 1:
-            for i in range(n):
-                if prof is not None:
-                    t0 = time.perf_counter()
-                np.matmul(cols[i * rows:(i + 1) * rows], wmat,
-                          out=out2d[i * rows:(i + 1) * rows])
-                if prof is not None:
-                    prof.record("gemm.blas", time.perf_counter() - t0)
-        else:
-            if prof is not None:
-                t0 = time.perf_counter()
-            np.matmul(cols, wmat, out=out2d)
-            if prof is not None:
-                prof.record("gemm.blas", time.perf_counter() - t0)
-
-    def _exec_conv(self, step, values, arena, exact: bool = False) -> None:
+    def _exec_conv(self, step, values, arena) -> None:
         src = values[step["srcs"][0]]
         n, h, w, cin = src.shape
         kh, kw = step["kernel"]
@@ -454,41 +402,34 @@ class CompiledModel(Module):
         dst = self._dst(step, arena)
         groups, cout = step["groups"], step["cout"]
         gc_in, gc_out = cin // groups, cout // groups
-        m, k = n * h * w, kh * kw * gc_in
         wmats = step["wmats"]
         if wmats is None:
             # Unfolded int8 conv: dequantized per call (fold_constants
             # removes this).
             wfull = step["weight_params"].dequantize(step["weight_q"])
-            wmats = [wfull.reshape(k, cout)]
+            wmats = [wfull.reshape(kh * kw * gc_in, cout)]
         bias = step["bias"]
-        colsbuf, prof = arena["cols"], _profiler.ACTIVE
+        prof = _profiler.ACTIVE
         for g in range(groups):
             if prof is not None:
                 t0 = time.perf_counter()
             xg = xp if groups == 1 else xp[..., g * gc_in:(g + 1) * gc_in]
             if groups == 1:
-                out2d = dst.reshape(m, cout)
+                out = dst
             else:
-                out2d = arena["tmp"][:m * gc_out].reshape(m, gc_out)
-            patches = extract_patches(xg, (kh, kw), (1, 1))
-            np.copyto(
-                colsbuf[:m * k].reshape(n, h, w, kh, kw, gc_in), patches
-            )
-            cols = colsbuf[:m * k].reshape(m, k)
-            if prof is not None:
-                prof.record("im2col", time.perf_counter() - t0)
-            self._matmul_rows(cols, wmats[g], out2d, n, h * w, exact, prof)
-            if bias is not None:
-                b = bias if groups == 1 else bias[g * gc_out:(g + 1) * gc_out]
-                np.add(out2d, b, out=out2d)
-            if groups > 1:
-                dst[..., g * gc_out:(g + 1) * gc_out] = out2d.reshape(
+                out = arena["tmp"][:dst.size // groups].reshape(
                     n, h, w, gc_out
                 )
+            conv_strips(xg, wmats[g], (kh, kw), (1, 1), out, arena["cols"])
+            if bias is not None:
+                b = bias if groups == 1 else bias[g * gc_out:(g + 1) * gc_out]
+                np.add(out, b, out=out)
+            if groups > 1:
+                dst[..., g * gc_out:(g + 1) * gc_out] = out
             if prof is not None:
                 prof.record(
-                    "conv2d", time.perf_counter() - t0, macs=m * k * gc_out
+                    "conv2d", time.perf_counter() - t0,
+                    macs=out.size * kh * kw * gc_in,
                 )
         for ep in step["eps"]:
             kind = ep[0]

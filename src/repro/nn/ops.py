@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..obs import profiler as _profiler
-from .im2col import dilate2d, extract_patches, fold_patches
+from .im2col import conv_strips, conv_strips_backward, dilate2d
 from .tensor import Tensor, as_tensor
 
 Padding = Union[str, int, Sequence[Tuple[int, int]]]
@@ -86,11 +86,12 @@ def conv2d(
 
     Notes
     -----
-    The forward is im2col + one ``np.matmul`` (BLAS sgemm).  The inference
-    executor (:mod:`repro.compile.executor`) replays the same contraction
-    into planned buffers; because BLAS output bits depend on the GEMM row
-    count, its exact-batch mode issues one sgemm per sample once the
-    serving engine stacks tiles.
+    Forward and backward run :func:`repro.nn.im2col.conv_strips` (and its
+    backward): per sample, one im2col copy and one sgemm per strip of
+    output rows, with the strip height taken from the output width alone.
+    The compiled executor (:mod:`repro.compile.executor`) makes the same
+    calls into planned buffers, so compiled == eager and batched ==
+    per-sample hold bit for bit.
     """
     x, w = as_tensor(x), as_tensor(w)
     if groups > 1:
@@ -115,17 +116,14 @@ def conv2d(
     if prof is not None:
         t0 = time.perf_counter()
     xd = x.data
+    dt = np.result_type(xd, w.data)
     if pt or pb or pl or pr:
         xp = np.pad(xd, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
     else:
         xp = xd
-    patches = extract_patches(xp, (kh, kw), (sh, sw))  # (N,Ho,Wo,kh,kw,C)
-    n, ho, wo = patches.shape[:3]
-    cols = patches.reshape(n * ho * wo, kh * kw * cin)
-    if prof is not None:
-        prof.record("im2col", time.perf_counter() - t0)
-    wmat = w.data.reshape(kh * kw * cin, cout)
-    out_data = (cols @ wmat).reshape(n, ho, wo, cout)
+    wmat = w.data.reshape(kh * kw * cin, cout).astype(dt, copy=False)
+    out_data = conv_strips(xp, wmat, (kh, kw), (sh, sw))
+    n, ho, wo = out_data.shape[:3]
 
     parents = [x, w]
     if b is not None:
@@ -143,24 +141,22 @@ def conv2d(
         prof_b = _profiler.ACTIVE
         if prof_b is not None:
             tb = time.perf_counter()
-        macs_b = 0
-        gmat = g.reshape(n * ho * wo, cout)
-        if w.requires_grad:
-            gw = cols.T @ gmat
+        gw, gxp = conv_strips_backward(
+            xp, wmat, (kh, kw), (sh, sw), g.astype(dt, copy=False),
+            w.requires_grad, x.requires_grad,
+        )
+        if gw is not None:
             w._send(gw.reshape(kh, kw, cin, cout))
-            macs_b += n * ho * wo * kh * kw * cin * cout
-        if x.requires_grad:
-            gcols = gmat @ wmat.T
-            gpatches = gcols.reshape(n, ho, wo, kh, kw, cin)
-            gxp = fold_patches(gpatches, xp.shape, (sh, sw))
+        if gxp is not None:
             h, wdt = xd.shape[1], xd.shape[2]
             x._send(gxp[:, pt : pt + h, pl : pl + wdt, :])
-            macs_b += n * ho * wo * kh * kw * cin * cout
         if b is not None and b.requires_grad:
             b._send(g.sum(axis=(0, 1, 2)))
         if prof_b is not None:
+            macs = n * ho * wo * kh * kw * cin * cout
             prof_b.record(
-                "conv2d_bwd", time.perf_counter() - tb, macs=macs_b
+                "conv2d_bwd", time.perf_counter() - tb,
+                macs=macs * (w.requires_grad + x.requires_grad),
             )
 
     return Tensor._result(out_data, tuple(parents), backward)

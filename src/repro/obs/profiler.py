@@ -22,22 +22,22 @@ Op naming convention
     One record per convolution call: wall-clock of the whole call and the
     analytic MAC count ``N·Ho·Wo·kh·kw·Cin·Cout``.
 ``im2col``
-    The patch-materialisation phase *inside* ``conv2d`` (pad + strided
-    view + reshape-copy).  Wall-clock only — it moves bytes, it multiplies
-    nothing — and it is contained in ``conv2d``'s wall-clock, so do not
-    sum the two.
+    One strip's patch copy *inside* ``conv2d`` (see
+    :func:`repro.nn.im2col.conv_strips`), recorded per strip.  Wall-clock
+    only — it moves bytes, it multiplies nothing — and it is contained in
+    ``conv2d``'s wall-clock, so do not sum the two.
 ``matmul``
     Standalone :class:`~repro.nn.Tensor` matmuls (the collapsed-training
     weight composition, attention-style heads, ...).  The GEMM inside
     ``conv2d`` is *not* double-reported here; its MACs belong to
     ``conv2d``, which makes :meth:`Profiler.total_macs` additive.
 ``gemm.blas``
-    The BLAS sgemm phase *inside* a compiled conv step.  Wall-clock only,
-    contained in ``conv2d`` like ``im2col``.  The **call count** is the
-    GEMM dispatch ledger: a coalesced exact batch of N samples records N
-    ``gemm.blas`` calls per conv (one sgemm per sample, so each sample
-    sees the row count of its singleton run) — which is how the
-    per-sample cost of bit-exact batching is asserted, not just believed.
+    One strip's BLAS sgemm *inside* a forward ``conv2d`` (eager or
+    compiled).  Wall-clock only, contained in ``conv2d`` like ``im2col``.
+    The **call count** is the GEMM dispatch ledger: a batch of N samples
+    records N times the calls of one sample (one sgemm per sample per
+    strip, so each sample sees the row counts of its singleton run) —
+    which is how bit-exact batching is asserted, not just believed.
 ``conv2d_bwd``
     The convolution backward pass (weight + input gradients), recorded
     only when a profiler is active while autograd runs.

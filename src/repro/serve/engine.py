@@ -28,8 +28,8 @@ Execution modes per tile job:
   :class:`~repro.serve.BatchScheduler` coalesces same-shape tile jobs from
   *different* in-flight requests, bounded by ``max_batch`` and the window,
   with round-robin fair share so a huge request cannot starve small ones.
-  Coalesced batches share one pad + im2col pass and run the conv matmul
-  per sample (``CompiledModel.run(exact_batch=True)``), so the output
+  Coalesced batches share one pad pass per conv and issue the conv
+  sgemms per sample (``CompiledModel.run`` on the stack), so the output
   stays **byte-identical** to unbatched serving — the collapsed nets are
   dispatch-bound, which is where coalescing pays (see ``docs/serving.md``).
 
@@ -165,17 +165,15 @@ def predict_batch_exact(model: Module, patches: np.ndarray) -> np.ndarray:
     to [0, 1], bit-identical per sample to
     :func:`~repro.train.predict_image` on each tile alone.
 
-    Compiled models share one pad/im2col pass across the batch and run
-    the conv GEMM per sample (``run(exact_batch=True)``); anything else
-    (eager fallback, duck-typed test doubles) is computed tile by tile —
-    no conv coalescing, but the parity contract always holds.
+    Compiled models run the stack in one call (their convs issue every
+    sgemm per sample, see ``CompiledModel.run``); anything else (eager
+    fallback, duck-typed test doubles) is computed tile by tile — no conv
+    coalescing, but the parity contract always holds.
     """
     from ..compile.executor import CompiledModel
 
     if isinstance(model, CompiledModel):
-        return np.clip(
-            model.run(patches, exact_batch=True)[..., 0], 0.0, 1.0
-        )
+        return np.clip(model.run(patches)[..., 0], 0.0, 1.0)
     return np.stack([predict_image(model, p[..., 0]) for p in patches])
 
 

@@ -11,9 +11,9 @@ forward pass instead of each paying full freight.
 :class:`BatchScheduler` replaces the engine's plain FIFO queue.  Workers
 ask it for work and receive a *batch*: a list of :class:`TileJob` whose
 tiles all share one ``(ModelKey, halo-shape)`` group and therefore stack
-into one forward pass: one pad + im2col pass per layer, then one GEMM per
-sample so every tile stays bit-exact (see
-``CompiledModel.run(exact_batch=True)``).
+into one forward pass: one pad pass per layer, with every conv sgemm
+issued per sample and per strip of rows so every tile stays bit-exact
+(see ``CompiledModel.run``).
 
 Dispatch policy
 ---------------

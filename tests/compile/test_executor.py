@@ -127,6 +127,14 @@ class TestArenaManagement:
         assert stats["arena_bytes"] >= stats["lower_bound_bytes"]
         assert stats["slots"] == len(compiled.plan.slot_units)
 
+    def test_cols_scratch_is_one_strip(self):
+        """The cols scratch holds one strip of the widest conv (the 5x5
+        16-channel head: 4 rows x 256 px x 400 floats), whatever N is."""
+        compiled = compile_model(SESR.from_name("M5", scale=2).collapse())
+        one = compiled.memory_stats(256, 256)["scratch_bytes"]
+        assert one == compiled.memory_stats(256, 256, n=8)["scratch_bytes"]
+        assert one == 4 * 256 * 400 * 4 < 2 * 2**20
+
 
 class TestInstrumentation:
     def test_profiler_sees_the_analytic_macs(self, nhwc):
